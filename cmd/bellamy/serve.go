@@ -320,6 +320,12 @@ func runServe(args []string) error {
 		WriteTimeout:      60 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
+	// Catch SIGTERM/SIGINT before the listener exists: from the moment a
+	// client can be answered, a signal must start the drain below rather
+	// than kill the process with the default action.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
+	defer signal.Stop(sigc)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -340,9 +346,6 @@ func runServe(args []string) error {
 	// pending observations into a final checkpoint, and seal the WAL.
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
-	defer signal.Stop(sigc)
 	select {
 	case err := <-errc:
 		return err

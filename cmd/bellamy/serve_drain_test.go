@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -346,6 +347,72 @@ func TestServeShardedSmoke(t *testing.T) {
 			t.Fatalf("shard %d reopened with %d repaired bytes, want 0 after a drained shutdown", i, rb)
 		}
 		sst.Close()
+	}
+}
+
+// TestServeSIGTERMAtReady sends SIGTERM the instant the server is
+// ready, before it has served anything. The signal must start the
+// drain, not kill the process: runServe returns nil after logging that
+// the store was sealed and the drain completed.
+func TestServeSIGTERMAtReady(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-signal end-to-end test")
+	}
+	root := t.TempDir()
+	modelsDir := filepath.Join(root, "models")
+	if err := os.MkdirAll(modelsDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	writeTestModel(t, modelsDir)
+
+	// The serve logger writes to os.Stdout; capture it for the drain
+	// log lines.
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = stdout }()
+	logs := make(chan string, 1)
+	go func() {
+		b, _ := io.ReadAll(r)
+		logs <- string(b)
+	}()
+
+	testHookServeReady = func(string) {
+		if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
+			t.Errorf("sending SIGTERM: %v", err)
+		}
+	}
+	defer func() { testHookServeReady = nil }()
+	served := make(chan error, 1)
+	go func() {
+		served <- runServe([]string{
+			"-models", modelsDir,
+			"-addr", "127.0.0.1:0",
+			"-observe",
+			"-data-dir", filepath.Join(root, "data"),
+			"-fsync", "never",
+			"-rate-limit", "0",
+			"-drain-timeout", "10s",
+		})
+	}()
+	select {
+	case err = <-served:
+	case <-time.After(30 * time.Second):
+		t.Fatal("serve did not drain within 30s of SIGTERM")
+	}
+	os.Stdout = stdout
+	w.Close()
+	out := <-logs
+	if err != nil {
+		t.Fatalf("runServe after SIGTERM at ready = %v, want nil; log:\n%s", err, out)
+	}
+	for _, line := range []string{"draining on signal", "drain: store sealed", "drain: complete"} {
+		if !strings.Contains(out, line) {
+			t.Fatalf("serve log is missing %q:\n%s", line, out)
+		}
 	}
 }
 

@@ -5,6 +5,9 @@
 // source of truth for the wire contract — the serve handlers, the shard
 // router, the bellamy CLI, and the load generator all marshal exactly
 // these structs, so a field added here is a field added everywhere.
+// It also decodes the four inbound request bodies (ReadRequest) with
+// the semantics of encoding/json but without reflection, because body
+// decoding dominated the serving round trip.
 //
 // The package deliberately depends only on the standard library: it is
 // a contract, not an implementation, and must stay importable from
@@ -415,16 +418,4 @@ func WriteError(w http.ResponseWriter, status int, e *Error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(ErrorEnvelope{Error: e})
-}
-
-// DecodeError extracts the envelope from a non-2xx response body. A
-// body that is not a well-formed envelope yields an *Error with
-// CodeInternal and the raw body as message, so callers always get a
-// typed error back.
-func DecodeError(status int, body []byte) *Error {
-	var env ErrorEnvelope
-	if err := json.Unmarshal(body, &env); err == nil && env.Error != nil && env.Error.Code != "" {
-		return env.Error
-	}
-	return &Error{Code: CodeInternal, Message: fmt.Sprintf("http %d: %s", status, body)}
 }

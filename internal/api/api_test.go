@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 )
@@ -130,19 +129,6 @@ func TestEnvelopeShape(t *testing.T) {
 	}
 	if e["retry_after_ms"] != float64(1500) {
 		t.Fatalf("retry_after_ms = %v, want 1500", e["retry_after_ms"])
-	}
-}
-
-func TestDecodeError(t *testing.T) {
-	body := []byte(`{"error":{"code":"overloaded","message":"shed","retry_after_ms":1000}}`)
-	e := DecodeError(503, body)
-	if e.Code != CodeOverloaded || e.RetryAfterMs != 1000 {
-		t.Fatalf("DecodeError = %+v", e)
-	}
-	// A non-envelope body still yields a typed error.
-	e = DecodeError(500, []byte("boom"))
-	if e.Code != CodeInternal || !strings.Contains(e.Message, "boom") {
-		t.Fatalf("DecodeError fallback = %+v", e)
 	}
 }
 

@@ -28,14 +28,25 @@ func ToRequest(in api.PredictRequest) (Request, error) {
 	if in.Job == "" {
 		return Request{}, fmt.Errorf("serve: request missing job")
 	}
-	q := core.Query{ScaleOut: in.ScaleOut}
-	for _, p := range in.Essential {
-		q.Essential = append(q.Essential, encoding.Property{Name: p.Name, Value: p.Value})
-	}
-	for _, p := range in.Optional {
-		q.Optional = append(q.Optional, encoding.Property{Name: p.Name, Value: p.Value, Optional: true})
+	q := core.Query{
+		ScaleOut:  in.ScaleOut,
+		Essential: toProperties(in.Essential, false),
+		Optional:  toProperties(in.Optional, true),
 	}
 	return Request{Key: ModelKey{Job: in.Job, Env: in.Env}, Query: q}, nil
+}
+
+// toProperties converts wire properties in one allocation; none
+// convert to nil.
+func toProperties(in []api.Property, optional bool) []encoding.Property {
+	if len(in) == 0 {
+		return nil
+	}
+	out := make([]encoding.Property, len(in))
+	for i, p := range in {
+		out[i] = encoding.Property{Name: p.Name, Value: p.Value, Optional: optional}
+	}
+	return out
 }
 
 // ToAPIResponse converts a service response to its wire form, mapping
@@ -82,12 +93,8 @@ func ToAllocateRequest(in api.AllocateRequest) (ModelKey, allocate.Request, erro
 		CostPerNodeHour: in.CostPerNodeHour,
 		SafetyMargin:    in.SafetyMargin,
 		MinModelSamples: in.MinModelSamples,
-	}
-	for _, p := range in.Essential {
-		req.Essential = append(req.Essential, encoding.Property{Name: p.Name, Value: p.Value})
-	}
-	for _, p := range in.Optional {
-		req.Optional = append(req.Optional, encoding.Property{Name: p.Name, Value: p.Value, Optional: true})
+		Essential:       toProperties(in.Essential, false),
+		Optional:        toProperties(in.Optional, true),
 	}
 	for _, o := range in.Observations {
 		req.Observations = append(req.Observations, baselines.Point{ScaleOut: o.ScaleOut, Runtime: o.RuntimeSec})
@@ -128,13 +135,13 @@ const (
 	MaxBatchRequests = 10000
 )
 
-// DecodeBody decodes a bounded JSON request body into v. On failure it
-// writes the enveloped response — 413 when the body exceeded
-// MaxBodyBytes, 400 otherwise — and returns false. Decode errors are
-// reported by kind only; raw body contents never echo back to the
-// client.
-func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+// DecodeBody reads a request body of at most MaxBodyBytes and decodes
+// it into v with api.ReadRequest. On failure it writes the enveloped
+// response — 413 for any body over MaxBodyBytes, whatever it holds,
+// 400 otherwise — and returns false. Decode errors are reported by
+// kind only; raw body contents never echo back to the client.
+func DecodeBody[T api.RequestBody](w http.ResponseWriter, r *http.Request, v *T) bool {
+	err := api.ReadRequest(http.MaxBytesReader(w, r.Body, MaxBodyBytes), v)
 	if err == nil {
 		return true
 	}

@@ -75,6 +75,29 @@ func TestHTTPOversizedBodyIs413(t *testing.T) {
 	}
 }
 
+// TestHTTPOversizedBodyIs413WhateverItHolds: the byte cap is checked
+// before the body is decoded, so a body over it answers 413 even when
+// it is malformed from its first byte, or when a complete value ends
+// well before the cap and the excess is trailing bytes.
+func TestHTTPOversizedBodyIs413WhateverItHolds(t *testing.T) {
+	srv, _ := newTestServer(t)
+	filler := bytes.Repeat([]byte("x"), MaxBodyBytes)
+	for name, body := range map[string][]byte{
+		"malformed": append([]byte("not json "), filler...),
+		"trailing":  append([]byte(`{"job":"sort","env":"c3o"} `), filler...),
+	} {
+		for _, route := range postRoutes {
+			resp, raw := postRaw(t, srv.URL+route, body, nil)
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Fatalf("%s body on %s: status %d, want 413", name, route, resp.StatusCode)
+			}
+			if e := decodeEnvelope(t, raw); e.Code != api.CodePayloadTooLarge {
+				t.Fatalf("%s body on %s: body %q, want envelope code %q", name, route, raw, api.CodePayloadTooLarge)
+			}
+		}
+	}
+}
+
 // TestHTTPMalformedJSONDoesNotEchoBody: a malformed body answers 400
 // with a generic decode error — request contents (which may hold
 // credentials or internal names) never reflect back to the client.
@@ -87,6 +110,27 @@ func TestHTTPMalformedJSONDoesNotEchoBody(t *testing.T) {
 			t.Fatalf("%s: status %d, want 400", route, resp.StatusCode)
 		}
 		if strings.Contains(string(raw), "SECRET_TOKEN_XYZ") {
+			t.Fatalf("%s: response %q echoes the request body", route, raw)
+		}
+		if e := decodeEnvelope(t, raw); e.Code != api.CodeBadRequest {
+			t.Fatalf("%s: body %q, want envelope code %q", route, raw, api.CodeBadRequest)
+		}
+	}
+}
+
+// TestHTTPDeeplyNestedBodyIs400: 20 000 nested arrays inside an unknown
+// field exceed the 10 000-level nesting limit. Every route answers 400
+// without crashing and without echoing the body.
+func TestHTTPDeeplyNestedBodyIs400(t *testing.T) {
+	srv, _ := newTestServer(t)
+	const depth = 20000
+	body := []byte(`{"SECRET_TOKEN_XYZ":` + strings.Repeat("[", depth) + strings.Repeat("]", depth) + `}`)
+	for _, route := range postRoutes {
+		resp, raw := postRaw(t, srv.URL+route, body, nil)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", route, resp.StatusCode)
+		}
+		if strings.Contains(string(raw), "SECRET_TOKEN_XYZ") || strings.Contains(string(raw), "[[") {
 			t.Fatalf("%s: response %q echoes the request body", route, raw)
 		}
 		if e := decodeEnvelope(t, raw); e.Code != api.CodeBadRequest {
